@@ -359,9 +359,11 @@ func BenchmarkDisassembler(b *testing.B) {
 }
 
 // BenchmarkSimulator measures raw uninstrumented simulation throughput.
-// ReportAllocs tracks the interpreter's per-step allocation behavior: the
-// dispatch loop itself must not allocate (allocs/op is per-launch setup —
-// warp pools and the execution context — and stays flat as grids grow).
+// ReportAllocs tracks the launch path's allocation behavior: once its warp
+// and context pools are warm the simulator allocates nothing per launch,
+// instrumented or not (TestLaunchNoTracingZeroAlloc,
+// TestLaunchInstrumentedZeroAlloc). The steady-state allocs/op are the
+// driver's two per-launch callback-parameter records, flat as grids grow.
 func BenchmarkSimulator(b *testing.B) {
 	api, err := gpusim.New(gpusim.Volta)
 	if err != nil {

@@ -422,8 +422,13 @@ func boundaryPTX(dead int) string {
 	fmt.Fprintf(&b, "\t.reg .u32 %%r<%d>;\n", dead+4)
 	b.WriteString("\t.reg .u64 %rd<4>;\n")
 	b.WriteString("\tmov.u32 %r0, %tid.x;\n")
+	// Each thread stores to its own word (global thread id), so CTAs on
+	// different parallel-scheduler workers never race on a store.
+	b.WriteString("\tmov.u32 %r1, %ctaid.x;\n")
+	b.WriteString("\tmov.u32 %r2, %ntid.x;\n")
+	b.WriteString("\tmad.lo.u32 %r1, %r1, %r2, %r0;\n")
 	b.WriteString("\tld.param.u64 %rd0, [out];\n")
-	b.WriteString("\tmul.wide.u32 %rd2, %r0, 4;\n")
+	b.WriteString("\tmul.wide.u32 %rd2, %r1, 4;\n")
 	b.WriteString("\tadd.u64 %rd0, %rd0, %rd2;\n")
 	b.WriteString("\tmov.u32 %r1, 5;\n")
 	for k := 0; k < dead; k++ {

@@ -13,6 +13,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -101,8 +102,12 @@ type Device struct {
 	cfg   Config
 	codec *sass.Codec
 
-	mem   []byte // global memory
-	alloc *allocator
+	// Global memory is lazily paged: a page is allocated on its first write
+	// and published with an atomic pointer, so untouched pages cost nothing
+	// and read as zeros. See load32/writePage.
+	memSize uint64
+	pages   []atomic.Pointer[memPage]
+	alloc   *allocator
 
 	code    []byte      // code space; PCs are word indexes into it
 	codeTop int         // bump pointer (bytes)
@@ -278,7 +283,8 @@ func New(cfg Config) (*Device, error) {
 	d := &Device{
 		cfg:      cfg,
 		codec:    sass.CodecFor(cfg.Family),
-		mem:      make([]byte, cfg.GlobalMemBytes),
+		memSize:  cfg.GlobalMemBytes,
+		pages:    make([]atomic.Pointer[memPage], (cfg.GlobalMemBytes+pageMask)>>pageShift),
 		alloc:    newAllocator(heapBase, cfg.GlobalMemBytes-heapBase),
 		code:     make([]byte, cfg.CodeBytes),
 		decoded:  make([]sass.Inst, cfg.CodeBytes/ib),
@@ -417,8 +423,51 @@ func (d *Device) QueryAddr(addr uint64) (AllocSpan, AllocState) {
 	return AllocSpan{}, AddrUnallocated
 }
 
+// Global memory pages. Page size is a multiple of 8, so an aligned 4- or
+// 8-byte access never straddles two pages.
+const (
+	pageShift = 16
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type memPage [pageSize]byte
+
+// inHeap reports whether the n-byte access at addr lies inside the device
+// heap.
+func (d *Device) inHeap(addr uint64, n int) bool {
+	return addr >= heapBase && addr+uint64(n) <= d.memSize && addr+uint64(n) >= addr
+}
+
+// writePage returns the page holding addr, allocating it on first touch.
+// Workers racing to first-touch one page settle on a single page by CAS.
+func (d *Device) writePage(addr uint64) *memPage {
+	slot := &d.pages[addr>>pageShift]
+	if p := slot.Load(); p != nil {
+		return p
+	}
+	slot.CompareAndSwap(nil, new(memPage))
+	return slot.Load()
+}
+
+// load32 and load64 read an aligned in-heap word; never-written pages read
+// as zeros.
+func (d *Device) load32(addr uint64) uint32 {
+	if p := d.pages[addr>>pageShift].Load(); p != nil {
+		return binary.LittleEndian.Uint32(p[addr&pageMask:])
+	}
+	return 0
+}
+
+func (d *Device) load64(addr uint64) uint64 {
+	if p := d.pages[addr>>pageShift].Load(); p != nil {
+		return binary.LittleEndian.Uint64(p[addr&pageMask:])
+	}
+	return 0
+}
+
 func (d *Device) checkRange(addr uint64, n int) error {
-	if addr < heapBase || addr+uint64(n) > uint64(len(d.mem)) || addr+uint64(n) < addr {
+	if !d.inHeap(addr, n) {
 		return fmt.Errorf("gpu: global memory access [%#x,+%d) out of range", addr, n)
 	}
 	return nil
@@ -429,7 +478,10 @@ func (d *Device) Write(addr uint64, p []byte) error {
 	if err := d.checkRange(addr, len(p)); err != nil {
 		return err
 	}
-	copy(d.mem[addr:], p)
+	for len(p) > 0 {
+		n := copy(d.writePage(addr)[addr&pageMask:], p)
+		addr, p = addr+uint64(n), p[n:]
+	}
 	return nil
 }
 
@@ -438,7 +490,16 @@ func (d *Device) Read(addr uint64, p []byte) error {
 	if err := d.checkRange(addr, len(p)); err != nil {
 		return err
 	}
-	copy(p, d.mem[addr:])
+	for len(p) > 0 {
+		off := addr & pageMask
+		n := min(len(p), int(pageSize-off))
+		if pg := d.pages[addr>>pageShift].Load(); pg != nil {
+			copy(p, pg[off:])
+		} else {
+			clear(p[:n])
+		}
+		addr, p = addr+uint64(n), p[n:]
+	}
 	return nil
 }
 

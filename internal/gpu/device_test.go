@@ -1,7 +1,10 @@
 package gpu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"nvbitgo/internal/sass"
@@ -187,4 +190,182 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("non-power-of-two line accepted")
 	}
+}
+
+// TestPagedMemoryReadsZeros: never-written memory reads as zeros from the
+// host and from a kernel, and reading it allocates no page.
+func TestPagedMemoryReadsZeros(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	buf, _ := d.Malloc(3 * pageSize)
+	out, _ := d.Malloc(8)
+	got := make([]byte, 3*pageSize)
+	for i := range got {
+		got[i] = 0xAA
+	}
+	if err := d.Read(buf, got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		if b != 0 {
+			t.Fatalf("byte %d of never-written memory = %#x", i, b)
+		}
+	}
+	for i := buf >> pageShift; i <= (buf+3*pageSize-1)>>pageShift; i++ {
+		if d.pages[i].Load() != nil {
+			t.Fatalf("reading page %d allocated it", i)
+		}
+	}
+	entry := loadSASS(t, d, `
+		LDC.W R2, c[1][0]
+		LDC.W R4, c[1][8]
+		MOVI R6, -1
+		LDG.W R6, [R2]
+		STG.W [R4], R6
+		EXIT
+	`)
+	launch(t, d, entry, D1(1), D1(1), u64param(buf+pageSize+64, out), 0)
+	word := make([]byte, 8)
+	if err := d.Read(out, word); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint64(word); v != 0 {
+		t.Fatalf("kernel load of never-written memory = %#x", v)
+	}
+}
+
+// TestPagedMemorySpansPages: host copies that cross page boundaries
+// round-trip, including a read that ends in a never-written page.
+func TestPagedMemorySpansPages(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	base, _ := d.Malloc(4 * pageSize)
+	start := (base+pageMask)&^uint64(pageMask) + pageSize - 700 // 700 bytes before a boundary
+	data := make([]byte, pageSize+1400)                         // covers three pages
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	if err := d.Write(start, data); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data)+pageSize)
+	if err := d.Read(start, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(data)], data) {
+		t.Fatal("cross-page round trip corrupted data")
+	}
+	if !bytes.Equal(got[len(data):], make([]byte, pageSize)) {
+		t.Fatal("bytes past the write are not zero")
+	}
+}
+
+// TestPagedMemoryHeapEdges pins the heap bounds at both ends for host
+// copies and for kernel loads, stores and atomics: the first and last heap
+// words are accessible, the words just outside fault as
+// FaultIllegalAddress at exactly the faulting address.
+func TestPagedMemoryHeapEdges(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	top := d.cfg.GlobalMemBytes
+	word := []byte{1, 2, 3, 4}
+	for _, addr := range []uint64{heapBase, top - 4} {
+		if err := d.Write(addr, word); err != nil {
+			t.Fatalf("host write at %#x: %v", addr, err)
+		}
+		if err := d.Read(addr, make([]byte, 4)); err != nil {
+			t.Fatalf("host read at %#x: %v", addr, err)
+		}
+	}
+	for _, addr := range []uint64{heapBase - 4, top - 3, top} {
+		if err := d.Write(addr, word); err == nil {
+			t.Fatalf("host write at %#x accepted", addr)
+		}
+		if err := d.Read(addr, make([]byte, 4)); err == nil {
+			t.Fatalf("host read at %#x accepted", addr)
+		}
+	}
+
+	ops := map[string]string{
+		"LDG":  "LDG R4, [R2]",
+		"STG":  "STG [R2], R4",
+		"ATOM": "ATOM.ADD R4, [R2], R4",
+		"RED":  "RED.ADD [R2], R4",
+	}
+	for name, op := range ops {
+		entry := loadSASS(t, d, "LDC.W R2, c[1][0]\nMOVI R4, 1\n"+op+"\nEXIT")
+		for _, tc := range []struct {
+			addr  uint64
+			fault bool
+		}{{heapBase, false}, {top - 4, false}, {heapBase - 4, true}, {top, true}} {
+			_, err := d.Launch(LaunchSpec{Entry: entry, Grid: D1(1), Block: D1(1), Params: u64param(tc.addr)})
+			if !tc.fault {
+				if err != nil {
+					t.Fatalf("%s at %#x: %v", name, tc.addr, err)
+				}
+				continue
+			}
+			f, ok := AsFault(err)
+			if !ok || f.Kind != FaultIllegalAddress || f.Addr != tc.addr {
+				t.Fatalf("%s at %#x: want FaultIllegalAddress at that address, got %v", name, tc.addr, err)
+			}
+		}
+	}
+}
+
+// TestPagedMemoryConcurrentFirstTouch: under the parallel scheduler every
+// CTA's first store lands in the same never-written page, so SM workers
+// race to allocate it; all stores must survive (and -race stay clean).
+func TestPagedMemoryConcurrentFirstTouch(t *testing.T) {
+	cfg := DefaultConfig(sass.Volta)
+	cfg.Scheduler = SchedulerParallelSM
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const grid, block = 64, 32
+	out, _ := d.Malloc(4 * grid * block) // 8 KiB: one page
+	counter, _ := d.Malloc(8)
+	entry := loadSASS(t, d, gidProlog+`
+		LDC.W R4, c[1][0]
+		MOVI R6, 4
+		IMAD.W R4, R0, R6, R4
+		IADD R7, R0, RZ, 1
+		STG [R4], R7
+		LDC.W R8, c[1][8]
+		MOVI R10, 1
+		RED.ADD [R8], R10
+		EXIT
+	`)
+	launch(t, d, entry, D1(grid), D1(block), u64param(out, counter), 0)
+	buf := make([]byte, 4*grid*block)
+	if err := d.Read(out, buf); err != nil {
+		t.Fatal(err)
+	}
+	for gid := 0; gid < grid*block; gid++ {
+		if got := binary.LittleEndian.Uint32(buf[4*gid:]); got != uint32(gid+1) {
+			t.Fatalf("out[%d] = %d, want %d", gid, got, gid+1)
+		}
+	}
+	c := make([]byte, 4)
+	if err := d.Read(counter, c); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(c); got != grid*block {
+		t.Fatalf("counter = %d, want %d", got, grid*block)
+	}
+}
+
+// TestNewAllocatesLittle: device construction no longer materializes the
+// global heap; untouched pages cost nothing.
+func TestNewAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := New(DefaultConfig(sass.Volta))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	if n >= 16<<20 {
+		t.Fatalf("New allocated %d MiB for a %d MiB heap, want < 16 MiB", n>>20, d.cfg.GlobalMemBytes>>20)
+	}
+	t.Logf("New allocated %d KiB for a %d MiB heap", n>>10, d.cfg.GlobalMemBytes>>20)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"nvbitgo/internal/sass"
@@ -20,13 +21,13 @@ func minF32u(a, b uint32) uint32 { return f32bits(float32(math.Min(float64(f32(a
 // rather than unbounded host-memory growth.
 const maxStackDepth = 1024
 
-// step executes one warp-level instruction (the group of live lanes sharing
-// the minimum PC).
+// step executes one warp-level instruction: the warp's issuing group, the
+// live lanes sharing the minimum PC.
 func (c *execContext) step(w *warp) error {
-	pc := w.minPC()
-	if pc == pcExited {
+	if w.live == 0 {
 		return nil
 	}
+	pc := w.curPC
 	if c.wdLeft--; c.wdLeft < 0 {
 		f := c.trap(FaultWatchdogTimeout, pc, sass.Inst{}, -1,
 			"CTA exceeded the launch watchdog budget of %d warp instructions", c.wdBudget)
@@ -40,162 +41,126 @@ func (c *execContext) step(w *warp) error {
 		return f
 	}
 
-	var active [WarpSize]bool
-	var execLanes [WarpSize]bool
-	nActive := 0
-	var execMask uint32
-	for i := 0; i < w.nLanes; i++ {
-		if w.pc[i] != pc {
-			continue
-		}
-		active[i] = true
-		nActive++
-		if w.predTrue(i, in.Pred, in.PredNeg) {
-			execLanes[i] = true
-			execMask |= 1 << uint(i)
+	execMask := w.curMask
+	if in.Guarded() {
+		execMask = 0
+		for m := w.curMask; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros32(m); w.predTrue(i, in.Pred, in.PredNeg) {
+				execMask |= 1 << uint(i)
+			}
 		}
 	}
+	nActive := uint64(bits.OnesCount32(w.curMask))
 
 	st := &c.stats
 	st.WarpInstrs++
-	st.ThreadInstrs += uint64(nActive)
+	st.ThreadInstrs += nActive
 	st.OpCounts[in.Op]++
-	st.OpThreads[in.Op] += uint64(nActive)
+	st.OpThreads[in.Op] += nActive
 	w.cycles += issueCost(in.Op)
 
-	// Default: all active lanes fall through (w.advance); control flow
-	// overrides. The per-step helpers are plain methods/functions rather
-	// than closures so the dispatch loop does not allocate.
+	// Control flow moves the issuing group itself and returns; every other
+	// instruction falls through to w.advance after the switch. The per-step
+	// helpers are plain methods/functions rather than closures so the
+	// dispatch loop does not allocate.
 	next := pc + 1
 
 	switch in.Op {
 	case sass.OpNOP:
-		w.advance(&active, next)
 
 	case sass.OpEXIT:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
-			}
-			if execLanes[i] {
-				w.pc[i] = pcExited
-			} else {
-				w.pc[i] = next
-			}
+		if execMask != 0 {
+			w.live &^= execMask
+			w.scatter(execMask, next)
+			return nil
 		}
 
 	case sass.OpBRA, sass.OpJMP:
-		var target int32
+		target := int32(in.Imm)
 		if in.Op == sass.OpBRA {
-			target = next + int32(in.Imm)
-		} else {
-			target = int32(in.Imm)
+			target += next
 		}
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
-			}
-			if execLanes[i] {
-				w.pc[i] = target
-			} else {
-				w.pc[i] = next
-			}
-		}
+		w.branch(execMask, target, next)
+		return nil
 
 	case sass.OpBRX:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
-			}
-			if execLanes[i] {
-				w.pc[i] = int32(w.reg(i, in.Src1)) + int32(in.Imm)
-			} else {
-				w.pc[i] = next
-			}
+		uniform := execMask == w.curMask
+		var target int32
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.pc[i] = int32(w.reg(i, in.Src1)) + int32(in.Imm)
+			uniform = uniform && (m == execMask || w.pc[i] == target)
+			target = w.pc[i]
 		}
+		w.join(execMask, uniform, target, next)
+		return nil
 
 	case sass.OpCAL:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if len(w.callStack[i]) >= maxStackDepth {
+				return c.trap(FaultStackOverflow, pc, in, i, "call stack exceeds %d frames", maxStackDepth)
 			}
-			if execLanes[i] {
-				if len(w.callStack[i]) >= maxStackDepth {
-					return c.trap(FaultStackOverflow, pc, in, i, "call stack exceeds %d frames", maxStackDepth)
-				}
-				w.callStack[i] = append(w.callStack[i], next)
-				w.pc[i] = int32(in.Imm)
-			} else {
-				w.pc[i] = next
-			}
+			w.callStack[i] = append(w.callStack[i], next)
 		}
+		w.branch(execMask, int32(in.Imm), next)
+		return nil
 
 	case sass.OpRET:
-		for i := 0; i < w.nLanes; i++ {
-			if !active[i] {
-				continue
+		uniform := execMask == w.curMask
+		var target int32
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			n := len(w.callStack[i])
+			if n == 0 {
+				return c.trap(FaultStackUnderflow, pc, in, i, "RET with empty call stack")
 			}
-			if execLanes[i] {
-				n := len(w.callStack[i])
-				if n == 0 {
-					return c.trap(FaultStackUnderflow, pc, in, i, "RET with empty call stack")
-				}
-				w.pc[i] = w.callStack[i][n-1]
-				w.callStack[i] = w.callStack[i][:n-1]
-			} else {
-				w.pc[i] = next
-			}
+			w.pc[i] = w.callStack[i][n-1]
+			w.callStack[i] = w.callStack[i][:n-1]
+			uniform = uniform && (m == execMask || w.pc[i] == target)
+			target = w.pc[i]
 		}
+		w.join(execMask, uniform, target, next)
+		return nil
 
 	case sass.OpBAR:
-		w.advance(&active, next)
 		if execMask != 0 {
 			w.barWait = true
 		}
 
 	case sass.OpMOV:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if in.Mods.Wide() {
-					w.setReg64(i, in.Dst, w.reg64(i, in.Src1))
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1))
-				}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if in.Mods.Wide() {
+				w.setReg64(i, in.Dst, w.reg64(i, in.Src1))
+			} else {
+				w.setReg(i, in.Dst, w.reg(i, in.Src1))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpMOVI:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, uint32(int32(in.Imm)))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, uint32(int32(in.Imm)))
 		}
-		w.advance(&active, next)
 
 	case sass.OpMOVIH:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				v := w.reg(i, in.Dst)&0xFFFFF | uint32(in.Imm)<<20
-				w.setReg(i, in.Dst, v)
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			v := w.reg(i, in.Dst)&0xFFFFF | uint32(in.Imm)<<20
+			w.setReg(i, in.Dst, v)
 		}
-		w.advance(&active, next)
 
 	case sass.OpS2R:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, c.specialReg(w, i, in.Imm))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, c.specialReg(w, i, in.Imm))
 		}
-		w.advance(&active, next)
 
 	case sass.OpP2R:
 		single := in.Mods.SubOp() == sass.P2RSingle
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			if single {
 				v := uint32(0)
 				if w.predTrue(i, in.Mods.Aux(), false) {
@@ -206,67 +171,54 @@ func (c *execContext) step(w *warp) error {
 				w.setReg(i, in.Dst, uint32(w.preds[i]))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpR2P:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.preds[i] = uint8(w.reg(i, in.Src1)) & 0x7f
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.preds[i] = uint8(w.reg(i, in.Src1)) & 0x7f
 		}
-		w.advance(&active, next)
 
 	case sass.OpSEL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if w.predTrue(i, in.Mods.Aux(), false) {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1))
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src2))
-				}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if w.predTrue(i, in.Mods.Aux(), false) {
+				w.setReg(i, in.Dst, w.reg(i, in.Src1))
+			} else {
+				w.setReg(i, in.Dst, w.reg(i, in.Src2))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpIADD:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if in.Mods.Wide() {
-					w.setReg64(i, in.Dst, w.reg64(i, in.Src1)+w.reg64(i, in.Src2)+uint64(in.Imm))
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1)+eff2(w, &in, i))
-				}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if in.Mods.Wide() {
+				w.setReg64(i, in.Dst, w.reg64(i, in.Src1)+w.reg64(i, in.Src2)+uint64(in.Imm))
+			} else {
+				w.setReg(i, in.Dst, w.reg(i, in.Src1)+eff2(w, &in, i))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpIMUL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, w.reg(i, in.Src1)*w.reg(i, in.Src2))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, w.reg(i, in.Src1)*w.reg(i, in.Src2))
 		}
-		w.advance(&active, next)
 
 	case sass.OpIMAD:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if in.Mods.Wide() {
-					// IMAD.WIDE: 32x32 unsigned multiply + 64-bit add.
-					v := uint64(w.reg(i, in.Src1))*uint64(w.reg(i, in.Src2)) + w.reg64(i, in.Src3)
-					w.setReg64(i, in.Dst, v)
-				} else {
-					w.setReg(i, in.Dst, w.reg(i, in.Src1)*w.reg(i, in.Src2)+w.reg(i, in.Src3))
-				}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if in.Mods.Wide() {
+				// IMAD.WIDE: 32x32 unsigned multiply + 64-bit add.
+				v := uint64(w.reg(i, in.Src1))*uint64(w.reg(i, in.Src2)) + w.reg64(i, in.Src3)
+				w.setReg64(i, in.Dst, v)
+			} else {
+				w.setReg(i, in.Dst, w.reg(i, in.Src1)*w.reg(i, in.Src2)+w.reg(i, in.Src3))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpISETP:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			var r bool
 			if in.Mods.Flag() { // unsigned
 				a, b := w.reg(i, in.Src1), eff2(w, &in, i)
@@ -277,29 +229,22 @@ func (c *execContext) step(w *warp) error {
 			}
 			w.setPred(i, in.Mods.Aux(), r)
 		}
-		w.advance(&active, next)
 
 	case sass.OpSHL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, w.reg(i, in.Src1)<<(eff2(w, &in, i)&31))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, w.reg(i, in.Src1)<<(eff2(w, &in, i)&31))
 		}
-		w.advance(&active, next)
 
 	case sass.OpSHR:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, w.reg(i, in.Src1)>>(eff2(w, &in, i)&31))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, w.reg(i, in.Src1)>>(eff2(w, &in, i)&31))
 		}
-		w.advance(&active, next)
 
 	case sass.OpLOP:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			a, b := w.reg(i, in.Src1), eff2(w, &in, i)
 			var v uint32
 			switch in.Mods.SubOp() {
@@ -316,61 +261,48 @@ func (c *execContext) step(w *warp) error {
 			}
 			w.setReg(i, in.Dst, v)
 		}
-		w.advance(&active, next)
 
 	case sass.OpPOPC:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				v := w.reg(i, in.Src1)
-				n := uint32(0)
-				for v != 0 {
-					v &= v - 1
-					n++
-				}
-				w.setReg(i, in.Dst, n)
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			v := w.reg(i, in.Src1)
+			n := uint32(0)
+			for v != 0 {
+				v &= v - 1
+				n++
 			}
+			w.setReg(i, in.Dst, n)
 		}
-		w.advance(&active, next)
 
 	case sass.OpFADD:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, addF32(w.reg(i, in.Src1), w.reg(i, in.Src2)))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, addF32(w.reg(i, in.Src1), w.reg(i, in.Src2)))
 		}
-		w.advance(&active, next)
 
 	case sass.OpFMUL:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, f32bits(f32(w.reg(i, in.Src1))*f32(w.reg(i, in.Src2))))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, f32bits(f32(w.reg(i, in.Src1))*f32(w.reg(i, in.Src2))))
 		}
-		w.advance(&active, next)
 
 	case sass.OpFFMA:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				v := f32(w.reg(i, in.Src1))*f32(w.reg(i, in.Src2)) + f32(w.reg(i, in.Src3))
-				w.setReg(i, in.Dst, f32bits(v))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			v := f32(w.reg(i, in.Src1))*f32(w.reg(i, in.Src2)) + f32(w.reg(i, in.Src3))
+			w.setReg(i, in.Dst, f32bits(v))
 		}
-		w.advance(&active, next)
 
 	case sass.OpFSETP:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				a, b := f32(w.reg(i, in.Src1)), f32(w.reg(i, in.Src2))
-				w.setPred(i, in.Mods.Aux(), cmpF32(in.Mods.SubOp(), a, b))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			a, b := f32(w.reg(i, in.Src1)), f32(w.reg(i, in.Src2))
+			w.setPred(i, in.Mods.Aux(), cmpF32(in.Mods.SubOp(), a, b))
 		}
-		w.advance(&active, next)
 
 	case sass.OpMUFU:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			x := float64(f32(w.reg(i, in.Src1)))
 			var v float64
 			switch in.Mods.SubOp() {
@@ -393,46 +325,38 @@ func (c *execContext) step(w *warp) error {
 			}
 			w.setReg(i, in.Dst, f32bits(float32(v)))
 		}
-		w.advance(&active, next)
 
 	case sass.OpI2F:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				w.setReg(i, in.Dst, f32bits(float32(int32(w.reg(i, in.Src1)))))
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			w.setReg(i, in.Dst, f32bits(float32(int32(w.reg(i, in.Src1)))))
 		}
-		w.advance(&active, next)
 
 	case sass.OpF2I:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				f := f32(w.reg(i, in.Src1))
-				switch {
-				case math.IsNaN(float64(f)):
-					w.setReg(i, in.Dst, 0)
-				case f >= math.MaxInt32:
-					w.setReg(i, in.Dst, uint32(math.MaxInt32))
-				case f <= math.MinInt32:
-					w.setReg(i, in.Dst, 0x80000000)
-				default:
-					w.setReg(i, in.Dst, uint32(int32(f)))
-				}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			f := f32(w.reg(i, in.Src1))
+			switch {
+			case math.IsNaN(float64(f)):
+				w.setReg(i, in.Dst, 0)
+			case f >= math.MaxInt32:
+				w.setReg(i, in.Dst, uint32(math.MaxInt32))
+			case f <= math.MinInt32:
+				w.setReg(i, in.Dst, 0x80000000)
+			default:
+				w.setReg(i, in.Dst, uint32(int32(f)))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDG, sass.OpSTG:
-		if err := c.globalAccess(w, in, &execLanes, pc); err != nil {
+		if err := c.globalAccess(w, in, execMask, pc); err != nil {
 			return err
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDS, sass.OpSTS:
 		width := accessWidth(in)
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			addr := int(int32(w.reg(i, in.Src1)) + int32(in.Imm))
 			if addr%width != 0 {
 				f := c.trap(FaultMisalignedAddress, pc, in, i, "shared access at %#x not %d-byte aligned", addr, width)
@@ -458,14 +382,11 @@ func (c *execContext) step(w *warp) error {
 				}
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDL, sass.OpSTL:
 		width := accessWidth(in)
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			if w.local[i] == nil {
 				w.local[i] = make([]byte, c.dev.cfg.LocalMemPerThr)
 			}
@@ -489,16 +410,13 @@ func (c *execContext) step(w *warp) error {
 				}
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpLDC:
 		bank := in.Mods.SubOp()
 		data := c.banks[bank]
 		width := accessWidth(in)
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			addr := int(int32(w.reg(i, in.Src1)) + int32(in.Imm))
 			if addr < 0 || addr+width > len(data) {
 				f := c.trap(FaultConstOOB, pc, in, i, "constant access c[%d][%#x] out of range (%d bytes in bank)", bank, addr, len(data))
@@ -511,23 +429,20 @@ func (c *execContext) step(w *warp) error {
 				w.setReg(i, in.Dst, binary.LittleEndian.Uint32(data[addr:]))
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpATOM, sass.OpRED:
-		if err := c.atomicAccess(w, in, &execLanes, pc); err != nil {
+		if err := c.atomicAccess(w, in, execMask, pc); err != nil {
 			return err
 		}
-		w.advance(&active, next)
 
 	case sass.OpSHFL:
 		var vals [WarpSize]uint32
-		for i := 0; i < w.nLanes; i++ {
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			vals[i] = w.reg(i, in.Src1)
 		}
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			delta := int(int32(eff2(w, &in, i)))
 			src := i
 			switch in.Mods.SubOp() {
@@ -540,7 +455,7 @@ func (c *execContext) step(w *warp) error {
 			case sass.ShflIdx:
 				src = delta
 			}
-			if src >= 0 && src < WarpSize && execLanes[src] {
+			if src >= 0 && src < WarpSize && execMask&(1<<uint(src)) != 0 {
 				w.setReg(i, in.Dst, vals[src])
 			} else {
 				// Out-of-range or inactive source returns the lane's
@@ -548,56 +463,47 @@ func (c *execContext) step(w *warp) error {
 				w.setReg(i, in.Dst, vals[i])
 			}
 		}
-		w.advance(&active, next)
 
 	case sass.OpVOTE:
 		var mask uint32
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] && w.predTrue(i, in.Mods.Aux(), false) {
+		for m := execMask; m != 0; m &= m - 1 {
+			if i := bits.TrailingZeros32(m); w.predTrue(i, in.Mods.Aux(), false) {
 				mask |= 1 << uint(i)
 			}
 		}
 		switch in.Mods.SubOp() {
 		case sass.VoteBallot:
-			for i := 0; i < w.nLanes; i++ {
-				if execLanes[i] {
-					w.setReg(i, in.Dst, mask)
-				}
+			for m := execMask; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros32(m)
+				w.setReg(i, in.Dst, mask)
 			}
 		case sass.VoteAny:
-			for i := 0; i < w.nLanes; i++ {
-				if execLanes[i] {
-					w.setPred(i, sass.Pred(in.Dst&7), mask != 0)
-				}
+			for m := execMask; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros32(m)
+				w.setPred(i, sass.Pred(in.Dst&7), mask != 0)
 			}
 		case sass.VoteAll:
-			for i := 0; i < w.nLanes; i++ {
-				if execLanes[i] {
-					w.setPred(i, sass.Pred(in.Dst&7), mask == execMask)
-				}
+			for m := execMask; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros32(m)
+				w.setPred(i, sass.Pred(in.Dst&7), mask == execMask)
 			}
 		default:
 			return c.trap(FaultInvalidInstruction, pc, in, -1, "bad VOTE sub-op %d", in.Mods.SubOp())
 		}
-		w.advance(&active, next)
 
 	case sass.OpMATCH:
 		wide := in.Mods.Wide()
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			var mine uint64
 			if wide {
 				mine = w.reg64(i, in.Src1)
 			} else {
 				mine = uint64(w.reg(i, in.Src1))
 			}
-			var m uint32
-			for j := 0; j < w.nLanes; j++ {
-				if !execLanes[j] {
-					continue
-				}
+			var match uint32
+			for mj := execMask; mj != 0; mj &= mj - 1 {
+				j := bits.TrailingZeros32(mj)
 				var theirs uint64
 				if wide {
 					theirs = w.reg64(j, in.Src1)
@@ -605,50 +511,42 @@ func (c *execContext) step(w *warp) error {
 					theirs = uint64(w.reg(j, in.Src1))
 				}
 				if theirs == mine {
-					m |= 1 << uint(j)
+					match |= 1 << uint(j)
 				}
 			}
-			w.setReg(i, in.Dst, m)
+			w.setReg(i, in.Dst, match)
 		}
-		w.advance(&active, next)
 
 	case sass.OpWFFT32:
 		if !c.dev.cfg.EnableWFFT {
 			return c.trap(FaultInvalidInstruction, pc, in, -1, "WFFT32 is a hypothetical instruction; this device does not implement it "+
 				"(instrument it with the emulation tool, or enable Config.EnableWFFT)")
 		}
-		execWFFT32(w, in, &execLanes)
-		w.advance(&active, next)
+		execWFFT32(w, in, execMask)
 
 	case sass.OpSAVEPUSH:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				if len(w.saveStack[i]) >= maxStackDepth {
-					return c.trap(FaultStackOverflow, pc, in, i, "save stack exceeds %d frames", maxStackDepth)
-				}
-				w.saveStack[i] = append(w.saveStack[i], saveFrame{regs: make([]uint32, in.Imm)})
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			if len(w.saveStack[i]) >= maxStackDepth {
+				return c.trap(FaultStackOverflow, pc, in, i, "save stack exceeds %d frames", maxStackDepth)
 			}
+			w.saveStack[i] = pushFrame(w.saveStack[i], int(in.Imm))
 		}
-		w.advance(&active, next)
 
 	case sass.OpSAVEPOP:
-		for i := 0; i < w.nLanes; i++ {
-			if execLanes[i] {
-				n := len(w.saveStack[i])
-				if n == 0 {
-					return c.trap(FaultStackUnderflow, pc, in, i, "SAVEPOP with empty save stack")
-				}
-				w.saveStack[i] = w.saveStack[i][:n-1]
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
+			n := len(w.saveStack[i])
+			if n == 0 {
+				return c.trap(FaultStackUnderflow, pc, in, i, "SAVEPOP with empty save stack")
 			}
+			w.saveStack[i] = w.saveStack[i][:n-1]
 		}
-		w.advance(&active, next)
 
 	case sass.OpSTSA, sass.OpLDSA, sass.OpSTSP, sass.OpLDSP, sass.OpSTSB, sass.OpLDSB,
 		sass.OpRDREG, sass.OpWRREG, sass.OpRDPRED, sass.OpWRPRED:
-		for i := 0; i < w.nLanes; i++ {
-			if !execLanes[i] {
-				continue
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros32(m)
 			n := len(w.saveStack[i])
 			if n == 0 {
 				return c.trap(FaultStackUnderflow, pc, in, i, "%v with no save frame", in.Op)
@@ -691,11 +589,11 @@ func (c *execContext) step(w *warp) error {
 				fr.preds = uint8(w.reg(i, in.Src2)) & 0x7f
 			}
 		}
-		w.advance(&active, next)
 
 	default:
 		return c.trap(FaultInvalidInstruction, pc, in, -1, "unimplemented opcode")
 	}
+	w.advance(next)
 	return nil
 }
 
@@ -827,7 +725,10 @@ func accessWidth(in sass.Inst) int {
 
 // globalAccess performs a coalesced warp-level global load/store and feeds
 // the cache/timing model.
-func (c *execContext) globalAccess(w *warp, in sass.Inst, execLanes *[WarpSize]bool, pc int32) error {
+func (c *execContext) globalAccess(w *warp, in sass.Inst, execMask uint32, pc int32) error {
+	if execMask == 0 {
+		return nil
+	}
 	width := accessWidth(in)
 	d := c.dev
 	lineShift := uint(0)
@@ -836,34 +737,30 @@ func (c *execContext) globalAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 	}
 	var lines [WarpSize]uint64
 	nLines := 0
-	any := false
-	for i := 0; i < w.nLanes; i++ {
-		if !execLanes[i] {
-			continue
-		}
-		any = true
+	for m := execMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
 		if addr%uint64(width) != 0 {
 			f := c.trap(FaultMisalignedAddress, pc, in, i, "global access at %#x not %d-byte aligned", addr, width)
 			f.Addr = addr
 			return f
 		}
-		if addr < heapBase || addr+uint64(width) > uint64(len(d.mem)) || addr+uint64(width) < addr {
+		if !d.inHeap(addr, width) {
 			f := c.trap(FaultIllegalAddress, pc, in, i, "global access [%#x,+%d) outside the device heap", addr, width)
 			f.Addr = addr
 			return f
 		}
 		if in.Op == sass.OpLDG {
 			if width == 8 {
-				w.setReg64(i, in.Dst, binary.LittleEndian.Uint64(d.mem[addr:]))
+				w.setReg64(i, in.Dst, d.load64(addr))
 			} else {
-				w.setReg(i, in.Dst, binary.LittleEndian.Uint32(d.mem[addr:]))
+				w.setReg(i, in.Dst, d.load32(addr))
 			}
 		} else {
 			if width == 8 {
-				binary.LittleEndian.PutUint64(d.mem[addr:], w.reg64(i, in.Src2))
+				binary.LittleEndian.PutUint64(d.writePage(addr)[addr&pageMask:], w.reg64(i, in.Src2))
 			} else {
-				binary.LittleEndian.PutUint32(d.mem[addr:], w.reg(i, in.Src2))
+				binary.LittleEndian.PutUint32(d.writePage(addr)[addr&pageMask:], w.reg(i, in.Src2))
 			}
 		}
 		// Record the unique lines touched (both words of a straddling
@@ -882,9 +779,6 @@ func (c *execContext) globalAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 				nLines++
 			}
 		}
-	}
-	if !any {
-		return nil
 	}
 	st := &c.stats
 	st.GlobalAccesses++
@@ -919,26 +813,22 @@ func (c *execContext) lineCost(line uint64) uint64 {
 // read-modify-write is serialized through an address-striped device lock, so
 // concurrent CTAs interleave atomically — in an undefined cross-CTA order,
 // exactly as on real hardware — and the race detector stays clean.
-func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]bool, pc int32) error {
+func (c *execContext) atomicAccess(w *warp, in sass.Inst, execMask uint32, pc int32) error {
 	d := c.dev
 	width := accessWidth(in)
 	lineShift := uint(0)
 	for 1<<lineShift < d.cfg.L1LineBytes {
 		lineShift++
 	}
-	any := false
-	for i := 0; i < w.nLanes; i++ {
-		if !execLanes[i] {
-			continue
-		}
-		any = true
+	for m := execMask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
 		addr := w.reg64(i, in.Src1) + uint64(in.Imm)
 		if addr%uint64(width) != 0 {
 			f := c.trap(FaultMisalignedAddress, pc, in, i, "atomic access at %#x not %d-byte aligned", addr, width)
 			f.Addr = addr
 			return f
 		}
-		if addr < heapBase || addr+uint64(width) > uint64(len(d.mem)) || addr+uint64(width) < addr {
+		if !d.inHeap(addr, width) {
 			f := c.trap(FaultIllegalAddress, pc, in, i, "atomic access [%#x,+%d) outside the device heap", addr, width)
 			f.Addr = addr
 			return f
@@ -948,8 +838,9 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 			mu = &d.atomLocks[(addr>>3)&(atomStripes-1)]
 			mu.Lock()
 		}
+		word := d.writePage(addr)[addr&pageMask:]
 		if width == 8 {
-			old := binary.LittleEndian.Uint64(d.mem[addr:])
+			old := binary.LittleEndian.Uint64(word)
 			val := w.reg64(i, in.Src2)
 			var nv uint64
 			switch in.Mods.SubOp() {
@@ -974,12 +865,12 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 			case sass.AtomXor:
 				nv = old ^ val
 			}
-			binary.LittleEndian.PutUint64(d.mem[addr:], nv)
+			binary.LittleEndian.PutUint64(word, nv)
 			if in.Op == sass.OpATOM {
 				w.setReg64(i, in.Dst, old)
 			}
 		} else {
-			old := binary.LittleEndian.Uint32(d.mem[addr:])
+			old := binary.LittleEndian.Uint32(word)
 			val := w.reg(i, in.Src2)
 			var nv uint32
 			if in.Mods.Flag() { // float atomic
@@ -1022,7 +913,7 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 					nv = old ^ val
 				}
 			}
-			binary.LittleEndian.PutUint32(d.mem[addr:], nv)
+			binary.LittleEndian.PutUint32(word, nv)
 			if in.Op == sass.OpATOM {
 				w.setReg(i, in.Dst, old)
 			}
@@ -1032,7 +923,7 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 		}
 		w.cycles += c.lineCost((w.reg64(i, in.Src1) + uint64(in.Imm)) >> lineShift)
 	}
-	if any {
+	if execMask != 0 {
 		c.stats.GlobalAccesses++
 	}
 	return nil
@@ -1041,18 +932,15 @@ func (c *execContext) atomicAccess(w *warp, in sass.Inst, execLanes *[WarpSize]b
 // execWFFT32 natively evaluates the hypothetical warp-wide 32-point FFT:
 // lane k receives X[k] = sum_n x[n] * e^(-2*pi*i*k*n/32), with the real parts
 // in register Dst and the imaginary parts in register Src1 across the warp.
-func execWFFT32(w *warp, in sass.Inst, execLanes *[WarpSize]bool) {
+func execWFFT32(w *warp, in sass.Inst, execMask uint32) {
 	var re, im [WarpSize]float64
-	for n := 0; n < WarpSize; n++ {
-		if execLanes[n] {
-			re[n] = float64(f32(w.reg(n, in.Dst)))
-			im[n] = float64(f32(w.reg(n, in.Src1)))
-		}
+	for m := execMask; m != 0; m &= m - 1 {
+		n := bits.TrailingZeros32(m)
+		re[n] = float64(f32(w.reg(n, in.Dst)))
+		im[n] = float64(f32(w.reg(n, in.Src1)))
 	}
-	for k := 0; k < w.nLanes; k++ {
-		if !execLanes[k] {
-			continue
-		}
+	for m := execMask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros32(m)
 		var sr, si float64
 		for n := 0; n < WarpSize; n++ {
 			ang := -2 * math.Pi * float64(k*n) / WarpSize

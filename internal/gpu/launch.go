@@ -469,6 +469,11 @@ func (d *Device) releaseContext(c *execContext) {
 	d.ctxFree = append(d.ctxFree, c)
 }
 
+// stepObserver, when non-nil, sees every warp right after each of its
+// steps, on the worker goroutine that stepped it. Only tests set it (the
+// warp-cache invariant check), and only between launches.
+var stepObserver func(*warp)
+
 func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 	g := c.spec.Grid
 	c.cta = Dim3{
@@ -525,6 +530,9 @@ func (c *execContext) runCTA(ctaLinear, sm int) (uint64, error) {
 			for i := 0; i < 64 && !wp.done() && !wp.barWait; i++ {
 				if err := c.step(wp); err != nil {
 					return 0, err
+				}
+				if stepObserver != nil {
+					stepObserver(wp)
 				}
 				progress = true
 			}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"nvbitgo/internal/profile"
@@ -53,6 +54,93 @@ func TestLaunchNoTracingZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("tracing-off launch allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// trampKernel is shaped like trampoline-mode instrumentation: two sites
+// jump to trampolines that push a save frame, spill registers and
+// predicates, call a tool function, restore and jump back. Only odd lanes
+// reach the first site, so its SAVEPUSH and the trampolines run diverged;
+// the sites use different frame sizes, so reuse meets both a smaller and a
+// larger frame than the one popped before.
+const trampKernel = `
+	S2R R0, SR_TID.X
+	S2R R3, SR_CTAID.X
+	S2R R4, SR_NTID.X
+	IMAD R5, R3, R4, R0
+	MOVI R2, 0
+	LOP.AND R1, R0, RZ, 1
+	ISETP.EQ P0, R1, RZ, 0
+	@P0 BRA site2
+	JMP tramp1
+site2:
+	JMP tramp2
+back2:
+	LDC.W R6, c[1][0]
+	MOVI R8, 4
+	IMAD.W R6, R5, R8, R6
+	STG [R6], R2
+	EXIT
+tramp1:
+	SAVEPUSH 4
+	STSA [0], R0
+	STSA [1], R1
+	STSP
+	CAL tool
+	LDSP
+	LDSA R1, [1]
+	LDSA R0, [0]
+	SAVEPOP
+	JMP site2
+tramp2:
+	SAVEPUSH 8
+	STSA [0], R0
+	STSA [7], R1
+	STSP
+	CAL tool
+	LDSP
+	LDSA R1, [7]
+	LDSA R0, [0]
+	SAVEPOP
+	JMP back2
+tool:
+	IADD R2, R2, RZ, 1
+	RET
+`
+
+// TestLaunchInstrumentedZeroAlloc extends the zero-alloc contract to
+// instrumented code: once warm, save frames pushed by trampolines reuse the
+// frames popped before them, so the launch allocates nothing.
+func TestLaunchInstrumentedZeroAlloc(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	const grid, block = 8, 64
+	out, _ := d.Malloc(4 * grid * block)
+	entry := loadSASS(t, d, trampKernel)
+	spec := LaunchSpec{Entry: entry, Name: "tramp", Grid: D1(grid), Block: D1(block), Params: u64param(out)}
+	st, err := d.Launch(spec) // warm the pools, the decode cache and the save stacks
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per warp: the first site once, the second site once per diverged half.
+	if st.OpCounts[sass.OpSAVEPUSH] != 3*grid*block/WarpSize {
+		t.Fatalf("SAVEPUSH ran %d times, want %d", st.OpCounts[sass.OpSAVEPUSH], 3*grid*block/WarpSize)
+	}
+	buf := make([]byte, 4*grid*block)
+	if err := d.Read(out, buf); err != nil {
+		t.Fatal(err)
+	}
+	for gid := 0; gid < grid*block; gid++ {
+		if got, want := binary.LittleEndian.Uint32(buf[4*gid:]), uint32(1+gid%2); got != want {
+			t.Fatalf("thread %d called the tool %d times, want %d", gid, got, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := d.Launch(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("instrumented launch allocates %v objects per run, want 0", allocs)
 	}
 }
 

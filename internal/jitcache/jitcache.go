@@ -71,9 +71,10 @@ func (s Stats) HitRatio() float64 {
 
 // flight is one in-progress generation; waiters block on done.
 type flight struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done    chan struct{}
+	data    []byte
+	err     error
+	waiters int // callers parked on done (guarded by Cache.mu)
 }
 
 // entry is one in-memory cache slot.
@@ -204,6 +205,7 @@ func (c *Cache) Do(key Key, gen func() ([]byte, error)) (data []byte, hit bool, 
 		return data, true, nil
 	}
 	if f, ok := c.flights[key]; ok {
+		f.waiters++
 		c.mu.Unlock()
 		<-f.done
 		c.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,8 +302,11 @@ func TestDoSingleflight(t *testing.T) {
 			results[i], hits[i] = data, hit
 		}(i)
 	}
-	// Wait until the one generator is inside gen, then release it.
-	for gens.Load() == 0 {
+	// Release the generator only once every other goroutine has joined its
+	// flight; a goroutine arriving after the release would hit memory
+	// instead of coalescing.
+	for c.FlightWaiters(k) < goroutines-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
