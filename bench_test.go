@@ -1,11 +1,12 @@
-// Package main_test holds the benchmark harness: one testing.B benchmark per
-// paper figure/table plus framework microbenchmarks and the ablations called
-// out in DESIGN.md. Run with:
+// Package main_test holds the benchmark harness: framework microbenchmarks
+// (JIT phases, JIT cache, disassembler, simulator, launch, channel) and the
+// ablations called out in DESIGN.md (save-set sizing, basic-block counting,
+// tool overheads). Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Figure-level benchmarks run at Small scale so the bench suite stays fast;
-// cmd/experiments regenerates the figures at the paper's sizes.
+// Paper figures are not benchmarked here: internal/experiments tests each
+// figure's rows and bounds, and cmd/experiments regenerates the figures.
 package main_test
 
 import (
@@ -15,7 +16,6 @@ import (
 	"nvbitgo/gpusim"
 	"nvbitgo/internal/core"
 	"nvbitgo/internal/driver"
-	"nvbitgo/internal/experiments"
 	"nvbitgo/internal/gpu"
 	"nvbitgo/internal/ptx"
 	"nvbitgo/internal/sass"
@@ -24,108 +24,8 @@ import (
 	"nvbitgo/internal/tools/memtrace"
 	"nvbitgo/internal/tools/ophisto"
 	"nvbitgo/internal/workloads/mlsuite"
-	"nvbitgo/internal/workloads/specaccel"
 	"nvbitgo/nvbit"
 )
-
-// --- figure-level benchmarks ---------------------------------------------------
-
-// BenchmarkFig5JITOverhead regenerates the Figure 5 measurement (six-phase
-// JIT-compilation overhead across the SpecAccel suite).
-func BenchmarkFig5JITOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig5(specaccel.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 15 {
-			b.Fatal("row count")
-		}
-	}
-}
-
-// BenchmarkLibraryInstrFraction regenerates the Section 6.1 statistic
-// (fraction of instructions inside precompiled libraries).
-func BenchmarkLibraryInstrFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LibFraction()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("row count")
-		}
-	}
-}
-
-// BenchmarkFig6MemDivergence regenerates Figure 6 (memory divergence with
-// and without library instrumentation).
-func BenchmarkFig6MemDivergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("row count")
-		}
-	}
-}
-
-// BenchmarkFig7Histogram, BenchmarkFig8Slowdown and BenchmarkFig9SamplingError
-// share the three-pass Fig789 harness; each validates its own figure's rows.
-func BenchmarkFig7Histogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f7, _, _, err := experiments.Fig789(specaccel.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f7) != 15 {
-			b.Fatal("row count")
-		}
-	}
-}
-
-func BenchmarkFig8Slowdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, f8, _, err := experiments.Fig789(specaccel.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var full float64
-		for _, r := range f8 {
-			full += r.Full
-		}
-		b.ReportMetric(full/15, "avg-full-slowdown-x")
-	}
-}
-
-func BenchmarkFig9SamplingError(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, f9, err := experiments.Fig789(specaccel.Small)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var avg float64
-		for _, r := range f9 {
-			avg += r.ErrPct
-		}
-		b.ReportMetric(avg/15, "avg-error-pct")
-	}
-}
-
-// BenchmarkWFFTEmulation regenerates the Section 6.3 instruction-emulation
-// comparison (hypothetical WFFT32 vs software FFT, instructions per warp).
-func BenchmarkWFFTEmulation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.WFFT()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.ProxyPerWarp, "proxy-instrs-per-warp")
-		b.ReportMetric(r.SoftwarePerWarp, "software-instrs-per-warp")
-	}
-}
 
 // --- framework microbenchmarks --------------------------------------------------
 
@@ -448,7 +348,9 @@ func BenchmarkSaveSet(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nv.ForceFullSaveSet(fullSave)
+			if fullSave {
+				nv.SetInjectionMode(nvbit.InjectFullSave)
+			}
 			ctx, _ := api.CtxCreate()
 			mod, err := ctx.ModuleLoadPTX("m", benchKernelPTX)
 			if err != nil {
@@ -490,7 +392,9 @@ func BenchmarkSaveSetSizing(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nv.ForceFullSaveSet(fullSave)
+		if fullSave {
+			nv.SetInjectionMode(nvbit.InjectFullSave)
+		}
 		ctx, _ := api.CtxCreate()
 		mod, err := ctx.ModuleLoadPTX("m", benchKernelPTX)
 		if err != nil {

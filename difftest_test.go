@@ -21,7 +21,7 @@ import (
 
 // The differential instrumentation suite: liveness-minimal save sets are a
 // pure performance optimization, so every in-tree tool must produce output
-// byte-identical to the ForceFullSaveSet ablation, under both schedulers.
+// byte-identical to the InjectFullSave ablation, under both schedulers.
 // The report closures mirror cmd/nvbit-run so the comparison covers what a
 // user actually sees.
 
@@ -229,7 +229,9 @@ func runQuickstart(t *testing.T, fullSave bool) (count uint64, avgSaved float64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv.ForceFullSaveSet(fullSave)
+	if fullSave {
+		nv.SetInjectionMode(nvbit.InjectFullSave)
+	}
 	ctx, err := api.CtxCreate()
 	if err != nil {
 		t.Fatal(err)

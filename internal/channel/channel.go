@@ -122,11 +122,11 @@ type Config struct {
 	OnBatch func(data []byte)
 	// QueueDepth bounds the flush→receiver Go channel (default 64).
 	QueueDepth int
-	// Scope, when non-zero, ties the channel's flush hooks to one session:
-	// they fire only during launches carrying the same gpu.LaunchSpec
-	// HookScope, so concurrent sessions' channels never observe each
-	// other's kernels. Zero (the default) flushes at every launch's
-	// boundaries. NVBit.OpenChannel fills this in for session attachments.
+	// Scope is the hook scope of the channel's flush hooks: they fire only
+	// during launches carrying the same gpu.LaunchSpec HookScope, so no
+	// channel observes another scope's kernels. Zero (the default) is the
+	// process-wide scope: launches on CtxCreate contexts and direct device
+	// launches. NVBit.OpenChannel fills in a session's scope.
 	Scope uint64
 	// Profiler, when non-nil, receives the channel's flush/drain activity
 	// records instead of the device-wide collector — a session's private
@@ -244,7 +244,7 @@ func Open(dev *gpu.Device, cfg Config) (*Channel, error) {
 			return nil, fmt.Errorf("channel %s: %w", cfg.Name, err)
 		}
 	}
-	c.unhook = dev.AddFlushHookScoped(cfg.Scope, c.onFlushPoint)
+	c.unhook = dev.AddFlushHook(cfg.Scope, c.onFlushPoint)
 	go c.receive()
 	return c, nil
 }

@@ -20,7 +20,7 @@ import (
 //     (trampoline bodies plus relocations, see artifact.go), keyed by
 //     everything that determines the generated code: function bytes, HAL
 //     identity, the tool's registered PTX sources, the function's register
-//     requirement, ForceFullSaveSet, and the complete instrumentation plan
+//     requirement, the injection mode, and the complete instrumentation plan
 //     down to each argument's kind and immediate. A hit skips liveness
 //     analysis and code generation and goes straight to materialization.
 //

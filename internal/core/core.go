@@ -45,8 +45,8 @@ type NVBit struct {
 	tool Tool
 	hal  *HAL
 
-	// ctx is the session context this instance is scoped to; nil for a
-	// process-wide Attach.
+	// ctx is the session context this instance is scoped to; nil for the
+	// scope-0 Attach.
 	ctx *driver.Context
 	// prof is the session's private activity collector; nil routes to the
 	// device-wide collector.
@@ -72,31 +72,50 @@ type NVBit struct {
 }
 
 // Attach injects the tool into the driver as its process-wide interposer
-// library and fires the tool's AtInit callback — the one-session
-// compatibility wrapper over the session model (OpenSession): the attached
-// tool observes every unscoped context's driver calls, and exactly one such
-// tool can be attached per driver instance, matching the
-// single-LD_PRELOAD-library rule. Options configure the attachment
-// (WithScheduler, WithWatchdogInterval, WithTracing); they are applied
-// before the tool's AtInit runs, so the tool observes the configured device.
+// library — the scope-0 attachment — and fires the tool's AtInit callback.
+// The attached tool observes the driver calls of every context made by
+// CtxCreate, and exactly one such tool can be attached per driver instance,
+// matching the single-LD_PRELOAD-library rule. Options configure the
+// attachment (WithScheduler, WithWatchdogInterval, WithTracing); they are
+// applied before the tool's AtInit runs, so the tool observes the
+// configured device.
 func Attach(api *driver.API, tool Tool, opts ...Option) (*NVBit, error) {
-	n := &NVBit{
-		api:   api,
-		tool:  tool,
-		funcs: make(map[*driver.Function]*funcState),
-	}
-	n.loader = newToolLoader(n)
+	return attach(api, tool, opts, false)
+}
+
+// attach is the one constructor behind Attach and OpenSession: it applies
+// the options, registers the tool's hook at scope 0 or, when scoped, on a
+// fresh session context, and runs AtInit. A failing AtInit unregisters the
+// hook without firing AtTerm, so the scope is free for the next attachment.
+func attach(api *driver.API, tool Tool, opts []Option, scoped bool) (*NVBit, error) {
 	var cfg attachConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.apply(api.Device())
-	n.cache = cfg.cache
-	n.injectMode = cfg.injectMode
-	if err := api.SetHook((*hook)(n)); err != nil {
+	n := &NVBit{
+		api:        api,
+		tool:       tool,
+		funcs:      make(map[*driver.Function]*funcState),
+		cache:      cfg.cache,
+		injectMode: cfg.injectMode,
+		prof:       cfg.apply(api.Device(), scoped),
+	}
+	n.loader = newToolLoader(n)
+	var err error
+	if scoped {
+		n.ctx, err = api.CtxCreateScoped((*hook)(n), n.prof)
+	} else {
+		err = api.SetHook((*hook)(n))
+	}
+	if err != nil {
 		return nil, err
 	}
 	if err := safeAtInit(tool, n); err != nil {
+		if scoped {
+			n.ctx.DiscardHook()
+		} else {
+			api.DiscardHook()
+		}
 		return nil, err
 	}
 	return n, nil
@@ -233,10 +252,17 @@ func (h *hook) After(cbid driver.CBID, name string, p *driver.CallParams, err er
 	}
 }
 
-// Malloc allocates device memory for tool state (the __managed__ variables
-// of the paper's listings).
+// Malloc allocates zeroed device memory for tool state (the __managed__
+// variables of the paper's listings). The device allocator recycles freed
+// memory, so the clear keeps counters from starting at a previous tenant's
+// values.
 func (n *NVBit) Malloc(bytes uint64) (uint64, error) {
-	return n.api.Device().Malloc(bytes)
+	dev := n.api.Device()
+	addr, err := dev.Malloc(bytes)
+	if err != nil {
+		return 0, err
+	}
+	return addr, dev.Zero(addr, bytes)
 }
 
 // WriteU64 stores a 64-bit value into device memory.

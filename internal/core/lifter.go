@@ -104,18 +104,10 @@ func (n *NVBit) state(f *driver.Function) (*funcState, error) {
 		t2 = time.Now() // cache time is attributed inside liftThroughCache
 	}
 	if lift == nil {
-		lift = &liftArtifact{sassText: make([]string, len(insts))}
-		for i, in := range insts {
-			lift.sassText[i] = sass.Format(in)
-		}
+		lift = buildLiftArtifact(insts)
 		tf := time.Now()
 		n.stats.Disassemble += tf.Sub(t2)
 		t2 = tf
-		if ranges, ok := sass.BasicBlocks(insts); ok {
-			lift.blocks = ranges
-		} else {
-			lift.hasICF = true
-		}
 	}
 	fs.sassText = lift.sassText
 	fs.hasICF = lift.hasICF

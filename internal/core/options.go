@@ -67,24 +67,28 @@ func WithInjectionMode(m InjectionMode) Option {
 	return func(c *attachConfig) { c.injectMode = m }
 }
 
-// apply mutates the device per the collected options (the process-wide
-// Attach path: tracing installs a device-wide collector).
-func (c *attachConfig) apply(dev *gpu.Device) {
-	c.applyShared(dev)
-	if c.tracing && dev.Profiler() == nil {
-		dev.SetProfiler(profile.NewCollector(c.traceBuffer))
-	}
-}
-
-// applyShared applies the device-wide knobs both Attach and OpenSession
-// honor; session tracing is handled separately (a private collector).
-func (c *attachConfig) applyShared(dev *gpu.Device) {
+// apply applies the collected options to the device. Scheduler and
+// watchdog are device-wide knobs for every attachment. Tracing installs a
+// device-wide collector for a scope-0 attachment; for a session (scoped) it
+// instead returns a private collector, so concurrent sessions' timelines
+// stay separate. The result is nil unless a private collector was made.
+func (c *attachConfig) apply(dev *gpu.Device, scoped bool) *profile.Collector {
 	if c.setScheduler {
 		dev.SetScheduler(c.scheduler)
 	}
 	if c.setWatchdog {
 		dev.SetWatchdogInterval(c.watchdog)
 	}
+	if !c.tracing {
+		return nil
+	}
+	if scoped {
+		return profile.NewCollector(c.traceBuffer)
+	}
+	if dev.Profiler() == nil {
+		dev.SetProfiler(profile.NewCollector(c.traceBuffer))
+	}
+	return nil
 }
 
 // Configure applies attach options to a driver instance's device without
@@ -97,7 +101,7 @@ func Configure(api *driver.API, opts ...Option) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.apply(api.Device())
+	cfg.apply(api.Device(), false)
 }
 
 // Profiler returns the activity collector this attachment's records go to —

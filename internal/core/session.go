@@ -12,12 +12,9 @@ import (
 // session's hook observes only its own context's driver calls, its channels'
 // flush hooks fire only during its own launches, and the driver's fair-share
 // gate schedules the sessions' kernels onto the shared SM capacity. Attach
-// remains the one-session compatibility wrapper for the classic
-// whole-process preloaded-tool model.
-type Session struct {
-	n   *NVBit
-	ctx *driver.Context
-}
+// is the same attachment at scope 0: the classic whole-process
+// preloaded-tool model.
+type Session struct{ n *NVBit }
 
 // OpenSession attaches a tool to a fresh context on the driver instead of to
 // the whole process. The same options as Attach apply, with one difference:
@@ -29,32 +26,11 @@ type Session struct {
 // The tool's AtInit fires before OpenSession returns; its AtTerm fires at
 // Session.Close.
 func OpenSession(api *driver.API, tool Tool, opts ...Option) (*Session, error) {
-	n := &NVBit{
-		api:   api,
-		tool:  tool,
-		funcs: make(map[*driver.Function]*funcState),
-	}
-	n.loader = newToolLoader(n)
-	var cfg attachConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.applyShared(api.Device())
-	n.cache = cfg.cache
-	n.injectMode = cfg.injectMode
-	if cfg.tracing {
-		n.prof = profile.NewCollector(cfg.traceBuffer)
-	}
-	ctx, err := api.CtxCreateScoped((*hook)(n), n.prof)
+	n, err := attach(api, tool, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	n.ctx = ctx
-	if err := safeAtInit(tool, n); err != nil {
-		ctx.DiscardHook()
-		return nil, err
-	}
-	return &Session{n: n, ctx: ctx}, nil
+	return &Session{n: n}, nil
 }
 
 // NVBit returns the session's framework instance — what the session's tool
@@ -64,7 +40,7 @@ func (s *Session) NVBit() *NVBit { return s.n }
 // Ctx returns the session's driver context. All of the session's module
 // loads, memory traffic and launches go through it; its driver calls are the
 // only ones the session's tool observes.
-func (s *Session) Ctx() *driver.Context { return s.ctx }
+func (s *Session) Ctx() *driver.Context { return s.n.ctx }
 
 // Profiler returns the session's private activity collector (WithTracing),
 // or the device-wide one when the session has none; nil when tracing is off
@@ -75,4 +51,4 @@ func (s *Session) Profiler() *profile.Collector { return s.n.profiler() }
 // session — other sessions and any process-wide interposer do not see it)
 // and the hook is unregistered. Close is idempotent. The context remains
 // usable for uninstrumented driver calls afterwards.
-func (s *Session) Close() error { return s.ctx.DetachHook() }
+func (s *Session) Close() error { return s.n.ctx.DetachHook() }

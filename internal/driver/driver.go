@@ -6,23 +6,27 @@
 // all sit on top of the CUDA driver API, and NVBit interposes that API via
 // LD_PRELOAD. Here, applications call this package directly, and Hooks
 // observe driver calls with CUPTI-style enter/exit callbacks and callback
-// ids at two scopes:
+// ids.
 //
-//   - A process-wide interposer (SetHook) — the analog of one preloaded tool
-//     library. At most one may be attached, matching the paper's "only a
-//     single library can be injected" rule, and it observes every call made
-//     on unscoped contexts.
-//   - Session hooks (CtxCreateScoped) — each bound to its own context, with
-//     its own activity collector and flush-hook scope. Any number of
-//     sessions coexist on one device; each hook observes only its own
-//     context's calls, and the fair-share Gate serializes their
-//     device-owning operations (module loads, memory traffic, launches)
-//     with least-accumulated-cycles admission and bounded-queue
-//     load-shedding (OverloadError).
+// Hooks live in one registry keyed by scope, with one firing rule: a hook
+// fires only for calls on contexts whose scope equals its own.
 //
-// The process-wide interposer and session hooks are mutually isolated: a
-// preloaded tool does not observe other sessions' private contexts, so two
-// tools never instrument the same loaded function.
+//   - Scope 0 is the process-wide interposer (SetHook), the analog of one
+//     preloaded tool library. At most one may be attached, matching the
+//     paper's "only a single library can be injected" rule, and it observes
+//     every call on contexts made by CtxCreate.
+//   - Every other scope is one session (CtxCreateScoped): a hook bound to
+//     its own context, with its own activity collector and flush-hook
+//     scope. Any number of sessions coexist on one device, and the
+//     fair-share Gate serializes their device-owning operations (module
+//     loads, memory traffic, launches) with least-accumulated-cycles
+//     admission and bounded-queue load-shedding (OverloadError).
+//
+// Because no hook observes another scope, a preloaded tool and a session
+// tool never instrument the same loaded function. Every scope leaves the
+// registry the same way: its synthetic application-exit callback fires
+// (Context.DetachHook, or Close for every scope still attached), or, when
+// setup failed, the hook is dropped silently (DiscardHook).
 package driver
 
 import (
@@ -106,27 +110,16 @@ type Launcher interface {
 
 var _ Launcher = (*Context)(nil)
 
-// hookEntry binds one attached Hook to its scope. ctx == nil is the
-// process-wide interposer (the classic preloaded-library model); a non-nil
-// ctx scopes the hook to that context's session. prof, when non-nil, is the
-// session's private collector for the hook's tool-callback records; nil
-// falls back to the device-wide collector.
+// hookEntry binds one attached Hook to its scope: 0 for the process-wide
+// interposer, the context's scope for a session hook. ctx is the session's
+// context, carried by its exit callback (nil at scope 0). prof, when
+// non-nil, is the session's private collector for the hook's tool-callback
+// records; nil falls back to the device-wide collector.
 type hookEntry struct {
-	h    Hook
-	ctx  *Context
-	prof *profile.Collector
-}
-
-// observes reports whether the entry's hook sees a call with the given
-// parameters. Session hooks see only their own context's calls; the
-// process-wide interposer sees everything except other sessions' private
-// contexts (so a preloaded tool and a session tool never fight over one
-// function's code).
-func (e *hookEntry) observes(p *CallParams) bool {
-	if e.ctx != nil {
-		return p != nil && p.Ctx == e.ctx
-	}
-	return p == nil || p.Ctx == nil || p.Ctx.scope == 0
+	h     Hook
+	scope uint64
+	ctx   *Context
+	prof  *profile.Collector
 }
 
 func (e *hookEntry) profFor(a *API) *profile.Collector {
@@ -140,12 +133,11 @@ func (e *hookEntry) profFor(a *API) *profile.Collector {
 type API struct {
 	dev *gpu.Device
 
-	// mu guards hooks/ctxs/closed/nextScope. hooks is copy-on-write: it is
-	// replaced wholesale on attach/detach, so driver calls iterate a
-	// snapshot lock-free.
+	// mu guards hooks/closed/nextScope. hooks holds at most one entry per
+	// scope and is copy-on-write: it is replaced wholesale on attach/detach,
+	// so driver calls iterate a snapshot lock-free.
 	mu        sync.Mutex
 	hooks     []hookEntry
-	ctxs      []*Context
 	closed    bool
 	nextScope uint64
 
@@ -161,21 +153,26 @@ func New(cfg gpu.Config) (*API, error) {
 	return &API{dev: dev, gate: NewGate(DefaultQueueLimit)}, nil
 }
 
-// SetHook attaches the process-wide interposer library. A second process-wide
-// attachment fails, matching the paper's "only a single library can be
-// injected" rule; context-scoped session hooks (CtxCreateScoped) are not
-// limited by it.
+// SetHook attaches the process-wide interposer library: the scope-0 hook.
+// A second process-wide attachment fails, matching the paper's "only a
+// single library can be injected" rule; session hooks (CtxCreateScoped) are
+// not limited by it.
 func (a *API) SetHook(h Hook) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, e := range a.hooks {
-		if e.ctx == nil {
+		if e.scope == 0 {
 			return fmt.Errorf("driver: an interposer library is already injected")
 		}
 	}
 	a.addHookLocked(hookEntry{h: h})
 	return nil
 }
+
+// DiscardHook unregisters the process-wide interposer without firing its
+// exit callback: the cleanup path when the tool's AtInit failed, so its
+// AtTerm must not run. It is a no-op when no interposer is attached.
+func (a *API) DiscardHook() { a.detach(0, false) }
 
 // addHookLocked installs a hook entry copy-on-write.
 func (a *API) addHookLocked(e hookEntry) {
@@ -184,23 +181,37 @@ func (a *API) addHookLocked(e hookEntry) {
 	a.hooks = append(next, e)
 }
 
-// takeCtxHook atomically unregisters and returns a context's session hook.
-func (a *API) takeCtxHook(c *Context) (hookEntry, bool) {
+// detach unregisters the hook bound to scope and, when fire is set, delivers
+// its synthetic application-exit callbacks. Enter and exit each recover
+// their own panic, so a broken enter callback cannot suppress the tool's
+// exit callback (where it flushes its results); the first recovered error is
+// returned. Detaching a scope with no hook is a no-op, which makes every
+// exit path idempotent.
+func (a *API) detach(scope uint64, fire bool) error {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, e := range a.hooks {
-		if e.ctx == c {
-			next := make([]hookEntry, 0, len(a.hooks)-1)
-			for _, o := range a.hooks {
-				if o.ctx != c {
-					next = append(next, o)
-				}
-			}
-			a.hooks = next
-			return e, true
+	var e hookEntry
+	found := false
+	next := make([]hookEntry, 0, len(a.hooks))
+	for _, o := range a.hooks {
+		if o.scope == scope {
+			e, found = o, true
+		} else {
+			next = append(next, o)
 		}
 	}
-	return hookEntry{}, false
+	if found {
+		a.hooks = next
+	}
+	a.mu.Unlock()
+	if !found || !fire {
+		return nil
+	}
+	p := &CallParams{Ctx: e.ctx}
+	err := a.fire(e, CBAppExit, p, false, nil)
+	if aerr := a.fire(e, CBAppExit, p, true, nil); err == nil {
+		err = aerr
+	}
+	return err
 }
 
 func (a *API) hookSnapshot() []hookEntry {
@@ -229,67 +240,62 @@ func (a *API) Device() *gpu.Device { return a.dev }
 // load-shedding.
 func (a *API) Gate() *Gate { return a.gate }
 
-// fireBefore runs one hook entry's enter callback, wrapped in its
-// tool-callback activity record (emitted even when the callback panics, via
-// defer, so the trace shows where the time went).
-func (a *API) fireBefore(e hookEntry, cbid CBID, p *CallParams) {
-	if prof := e.profFor(a); prof != nil {
-		t0 := prof.Now()
-		defer func() {
-			prof.Emit(profile.Record{
-				Kind: profile.KindToolCallback, Name: cbid.String() + ":enter",
-				Start: t0, Dur: prof.Now() - t0, SM: -1,
-			})
-		}()
-	}
-	e.h.Before(cbid, cbid.String(), p)
-}
-
-// fireAfter is fireBefore's exit-callback counterpart.
-func (a *API) fireAfter(e hookEntry, cbid CBID, p *CallParams, result error) {
-	if prof := e.profFor(a); prof != nil {
-		t0 := prof.Now()
-		defer func() {
-			prof.Emit(profile.Record{
-				Kind: profile.KindToolCallback, Name: cbid.String() + ":exit",
-				Start: t0, Dur: prof.Now() - t0, SM: -1,
-			})
-		}()
-	}
-	e.h.After(cbid, cbid.String(), p, result)
-}
-
-// before fires the enter callbacks of every hook observing this call. A
-// panic inside a callback is recovered into an ErrToolCallback error; the
-// caller must then skip the interposed operation, so a broken tool turns
-// into a failing driver call instead of a crashed host process.
-func (a *API) before(cbid CBID, p *CallParams) (err error) {
+// fire runs one hook entry's enter (exit == false) or exit callback,
+// wrapped in its tool-callback activity record (emitted even when the
+// callback panics, via defer, so the trace shows where the time went). A
+// panic inside the callback is recovered into an ErrToolCallback error, so a
+// broken tool turns into a failing driver call instead of a crashed host
+// process.
+func (a *API) fire(e hookEntry, cbid CBID, p *CallParams, exit bool, result error) (err error) {
 	defer recoverHookPanic(cbid, &err)
+	if prof := e.profFor(a); prof != nil {
+		t0 := prof.Now()
+		phase := ":enter"
+		if exit {
+			phase = ":exit"
+		}
+		defer func() {
+			prof.Emit(profile.Record{
+				Kind: profile.KindToolCallback, Name: cbid.String() + phase,
+				Start: t0, Dur: prof.Now() - t0, SM: -1,
+			})
+		}()
+	}
+	if exit {
+		e.h.After(cbid, cbid.String(), p, result)
+	} else {
+		e.h.Before(cbid, cbid.String(), p)
+	}
+	return nil
+}
+
+// dispatch fires the callback of the hook whose scope equals the calling
+// context's, if one is attached: scopes hold at most one hook each.
+func (a *API) dispatch(cbid CBID, p *CallParams, exit bool, result error) error {
 	for _, e := range a.hookSnapshot() {
-		if e.observes(p) {
-			a.fireBefore(e, cbid, p)
+		if e.scope == p.Ctx.scope {
+			return a.fire(e, cbid, p, exit, result)
 		}
 	}
 	return nil
 }
 
-// after fires the exit callbacks, with the same panic recovery as before.
-// The operation itself has already happened; a panicking After only changes
-// the error the application sees.
-func (a *API) after(cbid CBID, p *CallParams, result error) (err error) {
-	defer recoverHookPanic(cbid, &err)
-	for _, e := range a.hookSnapshot() {
-		if e.observes(p) {
-			a.fireAfter(e, cbid, p, result)
-		}
-	}
-	return nil
+// before fires the enter callback observing this call. On an error (a
+// recovered panic) the caller must skip the interposed operation.
+func (a *API) before(cbid CBID, p *CallParams) error {
+	return a.dispatch(cbid, p, false, nil)
 }
 
-// Close shuts the driver down. Sessions still attached receive their
-// synthetic application-exit callbacks first (scoped to their contexts),
-// then the process-wide interposer's fires. It returns the first error (tools
-// flush their results at exit, so a panicking AtTerm matters).
+// after fires the exit callback. The operation itself has already happened;
+// a panicking After only changes the error the application sees.
+func (a *API) after(cbid CBID, p *CallParams, result error) error {
+	return a.dispatch(cbid, p, true, result)
+}
+
+// Close shuts the driver down. Every attached scope receives its synthetic
+// application-exit callbacks and is unregistered: sessions first, then the
+// process-wide interposer. It returns the first error (tools flush their
+// results at exit, so a panicking AtTerm matters).
 func (a *API) Close() error {
 	a.mu.Lock()
 	if a.closed {
@@ -300,24 +306,17 @@ func (a *API) Close() error {
 	entries := a.hooks
 	a.mu.Unlock()
 	var first error
-	for _, e := range entries {
-		if e.ctx == nil {
-			continue
-		}
-		if err := e.ctx.DetachHook(); err != nil && first == nil {
-			first = err
-		}
-	}
-	p := &CallParams{}
-	if err := a.before(CBAppExit, p); err != nil {
+	keep := func(err error) {
 		if first == nil {
 			first = err
 		}
-		return first
 	}
-	if err := a.after(CBAppExit, p, nil); err != nil && first == nil {
-		first = err
+	for _, e := range entries {
+		if e.scope != 0 {
+			keep(a.detach(e.scope, true))
+		}
 	}
+	keep(a.detach(0, true))
 	return first
 }
 
@@ -338,8 +337,6 @@ type Context struct {
 	// profOv is the session's private activity collector; nil routes the
 	// context's records to the device-wide collector (gpu.SetProfiler).
 	profOv *profile.Collector
-	// hook is the session hook bound by CtxCreateScoped, nil otherwise.
-	hook Hook
 
 	mu     sync.Mutex
 	sticky error
@@ -376,15 +373,14 @@ func (a *API) ctxCreate(h Hook, sessProf *profile.Collector) (*Context, error) {
 		a.nextScope++
 		c.scope = a.nextScope
 		c.profOv = sessProf
-		c.hook = h
-		a.addHookLocked(hookEntry{h: h, ctx: c, prof: sessProf})
+		a.addHookLocked(hookEntry{h: h, scope: c.scope, ctx: c, prof: sessProf})
 	}
 	a.mu.Unlock()
 
 	// Context creation is device-owning work (the core's HAL init may write
 	// device state), so it runs inside the gate's admission window.
 	if err := a.gate.Admit(c.scope); err != nil {
-		a.takeCtxHook(c)
+		c.DiscardHook()
 		return nil, err
 	}
 	defer a.gate.Release(c.scope, 0)
@@ -395,12 +391,9 @@ func (a *API) ctxCreate(h Hook, sessProf *profile.Collector) (*Context, error) {
 		t0 = prof.Now()
 	}
 	if err := a.before(CBCtxCreate, p); err != nil {
-		a.takeCtxHook(c)
+		c.DiscardHook()
 		return nil, err
 	}
-	a.mu.Lock()
-	a.ctxs = append(a.ctxs, c)
-	a.mu.Unlock()
 	if prof := c.prof(); prof != nil {
 		prof.Emit(profile.Record{
 			Kind: profile.KindCtxCreate, Name: CBCtxCreate.String(),
@@ -408,7 +401,7 @@ func (a *API) ctxCreate(h Hook, sessProf *profile.Collector) (*Context, error) {
 		})
 	}
 	if err := a.after(CBCtxCreate, p, nil); err != nil {
-		a.takeCtxHook(c)
+		c.DiscardHook()
 		return nil, err
 	}
 	return c, nil
@@ -417,39 +410,26 @@ func (a *API) ctxCreate(h Hook, sessProf *profile.Collector) (*Context, error) {
 // DetachHook fires the session hook's synthetic application-exit callback —
 // scoped to this context; the process-wide interposer does not see it — and
 // unregisters the hook. Further driver calls on the context run
-// uninstrumented. It is idempotent and a no-op for unscoped contexts.
+// uninstrumented. It is idempotent and a no-op for scope-0 contexts.
 func (c *Context) DetachHook() error {
-	e, ok := c.api.takeCtxHook(c)
-	if !ok {
+	if c.scope == 0 {
 		return nil
 	}
-	p := &CallParams{Ctx: c}
-	var err error
-	func() {
-		defer recoverHookPanic(CBAppExit, &err)
-		c.api.fireBefore(e, CBAppExit, p)
-	}()
-	var aerr error
-	func() {
-		defer recoverHookPanic(CBAppExit, &aerr)
-		c.api.fireAfter(e, CBAppExit, p, nil)
-	}()
-	if err == nil {
-		err = aerr
-	}
-	return err
+	return c.api.detach(c.scope, true)
 }
 
 // DiscardHook unregisters the session hook without firing its exit callback
 // — the cleanup path when session setup fails partway (the tool's AtInit
-// errored, so its AtTerm must not run).
+// errored, so its AtTerm must not run). A no-op for scope-0 contexts.
 func (c *Context) DiscardHook() {
-	c.api.takeCtxHook(c)
+	if c.scope != 0 {
+		c.api.detach(c.scope, false)
+	}
 }
 
-// Scope returns the context's session/tenant id (0 for unscoped contexts).
-// Channels bound to a session pass it as their flush-hook scope so their
-// mid-kernel flushes fire only during this context's launches.
+// Scope returns the context's session/tenant id (0 for contexts made by
+// CtxCreate). Channels bound to a session pass it as their flush-hook scope
+// so their mid-kernel flushes fire only during this context's launches.
 func (c *Context) Scope() uint64 { return c.scope }
 
 // prof resolves the collector receiving this context's activity records: the

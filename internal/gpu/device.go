@@ -145,15 +145,15 @@ type Device struct {
 	smSpanShard *profile.Shard
 
 	// flushHooks are invoked by the scheduler at CTA-completion and
-	// warp-sweep boundaries (see FlushHook); nil when no channel is bound,
-	// which keeps the launch hot path allocation- and call-free. Entries
-	// registered with a non-zero scope fire only for launches whose
-	// LaunchSpec.HookScope matches — how concurrent sessions keep their
-	// channels out of each other's kernels.
+	// warp-sweep boundaries (see FlushHook); empty when no channel is
+	// bound, which keeps the launch hot path allocation- and call-free.
+	// Each entry fires only for launches whose LaunchSpec.HookScope equals
+	// its scope — how concurrent sessions keep their channels out of each
+	// other's kernels.
 	flushHooks []*flushHookEntry
-	// activeHooks is the per-launch filtered view of flushHooks (scope 0
-	// plus the launch's own scope), reused across launches so scoped
-	// sessions keep the tracing-off launch path allocation-free.
+	// activeHooks is the per-launch filtered view of flushHooks (the
+	// launch's own scope), reused across launches so the tracing-off
+	// launch path stays allocation-free.
 	activeHooks []*flushHookEntry
 	// launchFlush is the hook view resolved once at the top of Launch and
 	// read by every worker context of that launch; resolving once keeps
@@ -198,29 +198,20 @@ type flushHookEntry struct {
 	scope uint64
 }
 
-// AddFlushHook registers a flush hook that fires for every launch and
-// returns a function that removes it. Both registration and removal must
-// happen between launches — the hook slice is captured by each launch's
-// execution contexts.
-func (d *Device) AddFlushHook(h FlushHook) (remove func()) {
-	return d.AddFlushHookScoped(0, h)
-}
-
-// AddFlushHookScoped registers a flush hook bound to a hook scope: it fires
-// only for launches whose LaunchSpec.HookScope equals scope. Scope 0 is the
-// unscoped default — such hooks fire for every launch. Sessions give their
-// channels a private scope so one session's mid-kernel flushes never run
-// inside another session's kernels.
-func (d *Device) AddFlushHookScoped(scope uint64, h FlushHook) (remove func()) {
+// AddFlushHook registers a flush hook bound to a hook scope and returns a
+// function that removes it. The hook fires only for launches whose
+// LaunchSpec.HookScope equals scope: 0 for the process-wide attachment and
+// direct device launches, a session's context scope for that session's
+// launches, so one session's mid-kernel flushes never run inside another
+// scope's kernels. Both registration and removal must happen between
+// launches — the hook slice is captured by each launch's execution contexts.
+func (d *Device) AddFlushHook(scope uint64, h FlushHook) (remove func()) {
 	e := &flushHookEntry{fn: h, scope: scope}
 	d.flushHooks = append(d.flushHooks, e)
 	return func() {
 		for i, cur := range d.flushHooks {
 			if cur == e {
 				d.flushHooks = append(d.flushHooks[:i], d.flushHooks[i+1:]...)
-				if len(d.flushHooks) == 0 {
-					d.flushHooks = nil
-				}
 				return
 			}
 		}
@@ -231,28 +222,15 @@ func (d *Device) AddFlushHookScoped(scope uint64, h FlushHook) (remove func()) {
 // use it: closing a channel must return the count to its prior value.
 func (d *Device) FlushHookCount() int { return len(d.flushHooks) }
 
-// hooksFor filters the registered flush hooks down to those a launch with
-// the given scope must run (unscoped entries plus matching scoped ones),
-// reusing a device-owned buffer so the filter itself never allocates after
-// the first scoped launch. Launches on one device are serialized by the
-// driver's launch gate, so the shared buffer is never aliased.
+// hooksFor filters the registered flush hooks down to those whose scope
+// equals the launch's, reusing a device-owned buffer so the filter itself
+// stops allocating once the buffer has grown to fit. Launches on one device
+// are serialized by the driver's launch gate, so the shared buffer is never
+// aliased.
 func (d *Device) hooksFor(scope uint64) []*flushHookEntry {
-	if len(d.flushHooks) == 0 {
-		return nil
-	}
-	all := true
-	for _, e := range d.flushHooks {
-		if e.scope != 0 && e.scope != scope {
-			all = false
-			break
-		}
-	}
-	if all {
-		return d.flushHooks
-	}
 	d.activeHooks = d.activeHooks[:0]
 	for _, e := range d.flushHooks {
-		if e.scope == 0 || e.scope == scope {
+		if e.scope == scope {
 			d.activeHooks = append(d.activeHooks, e)
 		}
 	}
@@ -499,6 +477,24 @@ func (d *Device) Read(addr uint64, p []byte) error {
 			clear(p[:n])
 		}
 		addr, p = addr+uint64(n), p[n:]
+	}
+	return nil
+}
+
+// Zero clears n bytes of device global memory at addr. Only pages already
+// materialized are touched — untouched pages read as zeros anyway — so
+// clearing a large fresh allocation stays lazy.
+func (d *Device) Zero(addr, n uint64) error {
+	if err := d.checkRange(addr, int(n)); err != nil {
+		return err
+	}
+	for n > 0 {
+		off := addr & pageMask
+		k := min(n, pageSize-off)
+		if pg := d.pages[addr>>pageShift].Load(); pg != nil {
+			clear(pg[off : off+k])
+		}
+		addr, n = addr+k, n-k
 	}
 	return nil
 }

@@ -369,3 +369,32 @@ func TestNewAllocatesLittle(t *testing.T) {
 	}
 	t.Logf("New allocated %d KiB for a %d MiB heap", n>>10, d.cfg.GlobalMemBytes>>20)
 }
+
+// TestZeroClearsOnlyMaterializedPages: Zero clears written bytes, keeps the
+// bytes around the range, and leaves never-written pages unmaterialized.
+func TestZeroClearsOnlyMaterializedPages(t *testing.T) {
+	d := newTestDevice(t, sass.Volta)
+	buf, _ := d.Malloc(4 * pageSize)
+	if err := d.Write(buf+pageSize-8, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Zero(buf+pageSize-4, 3*pageSize+4); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 16)
+	if err := d.Read(buf+pageSize-8, got); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	if string(got) != string(want) {
+		t.Fatalf("after Zero: % x, want % x", got, want)
+	}
+	for i := (buf + 2*pageSize) >> pageShift; i <= (buf+4*pageSize-1)>>pageShift; i++ {
+		if d.pages[i].Load() != nil {
+			t.Fatalf("Zero materialized untouched page %d", i)
+		}
+	}
+	if err := d.Zero(d.memSize-4, 8); err == nil {
+		t.Fatal("Zero past the heap accepted")
+	}
+}

@@ -36,8 +36,9 @@ type LaunchSpec struct {
 	// launch's activity records — how each session keeps its own profiler
 	// shard on a shared device. Nil falls back to SetProfiler's collector.
 	Prof *profile.Collector
-	// HookScope selects which scoped flush hooks run during this launch
-	// (see AddFlushHookScoped). Zero runs only unscoped hooks.
+	// HookScope selects the flush hooks that run during this launch: those
+	// registered with the same scope (see AddFlushHook). Zero is the
+	// process-wide scope.
 	HookScope uint64
 }
 

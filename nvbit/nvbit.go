@@ -286,10 +286,10 @@ const (
 )
 
 // Attach injects a tool into an application's driver instance as its
-// process-wide interposer and fires its AtInit callback — the one-session
-// compatibility wrapper over the session model: only one such tool can be
-// attached per driver (the paper's single-LD_PRELOAD-library rule), and it
-// observes every unscoped context. Options configure the attachment
+// process-wide interposer — the scope-0 attachment — and fires its AtInit
+// callback. Only one such tool can be attached per driver (the paper's
+// single-LD_PRELOAD-library rule), and it observes every context made by
+// CtxCreate. Options configure the attachment
 // (WithScheduler, WithWatchdogInterval, WithTracing) and are applied before
 // AtInit runs. Use OpenSession to run several tools concurrently on one
 // device, each scoped to its own context.
